@@ -26,43 +26,35 @@ One trial is a pure function of (config, schedule):
 
 A delta failure trips the topic's safeguard monitor (§V-D) — recorded
 as a fallback event and a failing trial, never a hang.  Campaigns,
-greedy shrinking, and JSON reproducers follow the churn-harness
-discipline; ``cepheus-repro broker replay`` re-executes a reproducer
-bit-for-bit.
+greedy shrinking, and JSON reproducers come from the shared campaign
+engine (:mod:`repro.harness.campaign`); ``cepheus-repro broker replay``
+re-executes a reproducer bit-for-bit.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro import constants
-from repro.apps.cluster import Cluster
 from repro.apps.pubsub import Broker
 from repro.check import InvariantMonitor
 from repro.core.fallback import SafeguardMonitor
-from repro.harness.chaos import greedy_drop
+from repro.harness.campaign import CampaignConfig, CampaignKind, build_cluster
 from repro.harness.openloop import (
     ChurnOp, CrossOp, OpenLoopSchedule, PublishOp, generate_churn_stream,
     generate_cross_stream, generate_publish_stream, schedule_ops,
 )
-from repro.net.switch import SwitchConfig
 from repro.net.telemetry import LatencyStats
-from repro.transport.roce import RoceConfig
 
 __all__ = [
     "BrokerFabricConfig", "BrokerFabricSchedule",
-    "generate_brokerfabric_schedule", "run_brokerfabric_trial",
-    "run_brokerfabric_campaign", "shrink_brokerfabric_schedule",
-    "load_brokerfabric_reproducer", "replay_brokerfabric_reproducer",
+    "generate_brokerfabric_schedule", "run_brokerfabric_trial", "BROKER",
 ]
-
-REPRODUCER_KIND = "cepheus-broker-reproducer"
 
 
 @dataclass(frozen=True)
-class BrokerFabricConfig:
+class BrokerFabricConfig(CampaignConfig):
     """Parameters of one broker-fabric campaign."""
 
     topo: str = "fat_tree"        # "star" | "fat_tree"
@@ -83,14 +75,6 @@ class BrokerFabricConfig:
     loss_rate: float = 0.0
     rto: float = 200e-6
     retransmit_mode: str = "gbn"
-
-    def to_dict(self) -> Dict[str, object]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, object]) -> "BrokerFabricConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in d.items() if k in known})
 
 
 @dataclass(frozen=True)
@@ -114,27 +98,14 @@ class BrokerFabricSchedule:
 
 
 # ---------------------------------------------------------------------------
-# cluster + schedule construction
+# schedule construction
 # ---------------------------------------------------------------------------
-
-def _build_cluster(cfg: BrokerFabricConfig, trial_seed: int) -> Cluster:
-    sw_cfg = SwitchConfig(loss_rate=cfg.loss_rate, seed=trial_seed)
-    roce = RoceConfig(rto=cfg.rto, retransmit_mode=cfg.retransmit_mode)
-    if cfg.topo == "star":
-        return Cluster.testbed(cfg.hosts, switch_config=sw_cfg,
-                               roce_config=roce)
-    if cfg.topo == "fat_tree":
-        return Cluster.fat_tree_cluster(cfg.k, hosts_limit=cfg.hosts,
-                                        switch_config=sw_cfg,
-                                        roce_config=roce)
-    raise ValueError(f"unknown broker-fabric topology {cfg.topo!r}")
-
 
 def generate_brokerfabric_schedule(cfg: BrokerFabricConfig,
                                    rng) -> BrokerFabricSchedule:
     """Draw one randomized-but-reproducible broker-fabric schedule."""
     trial_seed = rng.randrange(1 << 31)
-    cluster = _build_cluster(cfg, 0)   # shape-only; state is discarded
+    cluster = build_cluster(cfg, 0)   # shape-only; state is discarded
     hosts = list(cluster.topo.host_ips)
     if len(hosts) < 3:
         raise ValueError("broker fabric needs at least 3 hosts")
@@ -172,7 +143,7 @@ def run_brokerfabric_trial(cfg: BrokerFabricConfig,
                            schedule: BrokerFabricSchedule,
                            trial_index: int = 0) -> Dict[str, object]:
     """Execute one open-loop trial; returns a JSON-able record."""
-    cluster = _build_cluster(cfg, schedule.trial_seed)
+    cluster = build_cluster(cfg, schedule.trial_seed)
     sim = cluster.sim
     fabric = cluster.fabric
     monitor = InvariantMonitor()
@@ -336,93 +307,10 @@ def run_brokerfabric_trial(cfg: BrokerFabricConfig,
         monitor.detach()
 
 
-def _fails(cfg: BrokerFabricConfig, schedule: BrokerFabricSchedule) -> bool:
-    return bool(run_brokerfabric_trial(cfg, schedule)["failing"])
-
-
-# ---------------------------------------------------------------------------
-# shrinking
-# ---------------------------------------------------------------------------
-
-def shrink_brokerfabric_schedule(
-        cfg: BrokerFabricConfig,
-        schedule: BrokerFabricSchedule) -> BrokerFabricSchedule:
-    """Greedily minimize a failing schedule: drop churn ops, then cross
-    ops, then trailing publishes — keeping every reduction that still
-    fails.  Each probe is a full deterministic re-run."""
-    def with_ops(**kw) -> BrokerFabricSchedule:
-        return replace(schedule, ops=replace(schedule.ops, **kw))
-
-    _, schedule = greedy_drop(
-        schedule.ops.churn,
-        lambda evs: with_ops(churn=tuple(evs)),
-        lambda cand: _fails(cfg, cand))
-    _, schedule = greedy_drop(
-        schedule.ops.cross,
-        lambda evs: with_ops(cross=tuple(evs)),
-        lambda cand: _fails(cfg, cand))
-    publishes = list(schedule.ops.publishes)
-    while len(publishes) > 1:
-        cand = with_ops(publishes=tuple(publishes[:-1]))
-        if _fails(cfg, cand):
-            publishes.pop()
-            schedule = cand
-        else:
-            break
-    return schedule
-
-
-# ---------------------------------------------------------------------------
-# campaigns + reproducers
-# ---------------------------------------------------------------------------
-
-def run_brokerfabric_campaign(cfg: BrokerFabricConfig, seed: int,
-                              trials: int,
-                              shrink: bool = True) -> Dict[str, object]:
-    """Run ``trials`` seeded trials; shrink and package any failures."""
-    import random
-
-    records: List[Dict[str, object]] = []
-    reproducers: List[Dict[str, object]] = []
-    for t in range(trials):
-        rng = random.Random((seed << 20) ^ (t * 0x9E3779B1 + 1))
-        schedule = generate_brokerfabric_schedule(cfg, rng)
-        record = run_brokerfabric_trial(cfg, schedule, trial_index=t)
-        records.append(record)
-        if record["failing"]:
-            minimal = (shrink_brokerfabric_schedule(cfg, schedule)
-                       if shrink else schedule)
-            final = run_brokerfabric_trial(cfg, minimal, trial_index=t)
-            reproducers.append({
-                "kind": REPRODUCER_KIND,
-                "config": cfg.to_dict(),
-                "schedule": minimal.to_dict(),
-                "violations": final["violations"],
-                "delta_failures": final["delta_failures"],
-                "undrained_topics": final["undrained_topics"],
-                "trial": t,
-            })
-    return {
-        "config": cfg.to_dict(),
-        "seed": seed,
-        "trials": trials,
-        "records": records,
-        "failing_trials": [r["trial"] for r in records if r["failing"]],
-        "reproducers": reproducers,
-    }
-
-
-def load_brokerfabric_reproducer(
-        path: str) -> Tuple[BrokerFabricConfig, BrokerFabricSchedule]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("kind") != REPRODUCER_KIND:
-        raise ValueError(f"{path} is not a {REPRODUCER_KIND} document")
-    return (BrokerFabricConfig.from_dict(doc["config"]),
-            BrokerFabricSchedule.from_dict(doc["schedule"]))
-
-
-def replay_brokerfabric_reproducer(path: str) -> Dict[str, object]:
-    """Re-execute a dumped reproducer; returns its (fresh) trial record."""
-    cfg, schedule = load_brokerfabric_reproducer(path)
-    return run_brokerfabric_trial(cfg, schedule)
+BROKER = CampaignKind(
+    name="broker", reproducer_kind="cepheus-broker-reproducer",
+    config_cls=BrokerFabricConfig, schedule_cls=BrokerFabricSchedule,
+    generate=generate_brokerfabric_schedule,
+    run_trial=run_brokerfabric_trial,
+    shrink_axes=("ops.churn", "ops.cross"), trailing=("ops.publishes",),
+    record_fields=("violations", "delta_failures", "undrained_topics"))

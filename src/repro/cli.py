@@ -84,214 +84,48 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _chaos_config(args) -> "object":
-    from repro.harness.chaos import ChaosConfig
+def _campaign(name: str):
+    """The :class:`~repro.harness.campaign.CampaignKind` behind a
+    campaign subcommand (imported lazily, like every handler's deps)."""
+    import importlib
 
-    if args.mutate and args.mutate != "psn-skip":
-        raise SystemExit(f"unknown mutation {args.mutate!r} "
-                         f"(available: psn-skip)")
-    return ChaosConfig(
-        topo=args.topo, hosts=args.hosts, k=args.k,
-        messages=args.messages, msg_packets=args.msg_packets,
-        incidents=args.incidents, horizon=args.horizon,
-        loss_rate=args.loss_rate, deployment=args.deployment,
-        mutate=args.mutate or None,
-    )
+    module, attr = _CAMPAIGNS[name]["kind"]
+    return getattr(importlib.import_module(module), attr)
 
 
-def _cmd_chaos_run(args) -> int:
+def _campaign_config(kind, args):
+    """Build the kind's config from the argparse namespace: every flag's
+    dest is a config field name.  An empty / zero value means "off" for
+    the config's optional (``None``-default) knobs."""
+    import dataclasses
+
+    mutate = getattr(args, "mutate", "")
+    if mutate and mutate not in kind.mutations:
+        raise SystemExit(f"unknown mutation {mutate!r} "
+                         f"(available: {', '.join(kind.mutations)})")
+    kw = {}
+    for f in dataclasses.fields(kind.config_cls):
+        if hasattr(args, f.name):
+            value = getattr(args, f.name)
+            kw[f.name] = (value or None) if f.default is None else value
+    return kind.config_cls(**kw)
+
+
+def _emit_json(doc, out: str) -> None:
     import json
 
-    from repro.harness.chaos import run_campaign
-
-    cfg = _chaos_config(args)
-    campaign = run_campaign(cfg, seed=args.seed, trials=args.trials,
-                            shrink=not args.no_shrink)
-    doc = json.dumps(campaign, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(doc + "\n")
+    blob = json.dumps(doc, indent=2, sort_keys=True)
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(blob + "\n")
     else:
-        print(doc)
-    n_fail = len(campaign["failing_trials"])
-    print(f"chaos: {args.trials} trial(s), {n_fail} failing "
-          f"(seed={args.seed})", file=sys.stderr)
-    if n_fail and args.repro_dir:
-        import os
-
-        os.makedirs(args.repro_dir, exist_ok=True)
-        for rep in campaign["reproducers"]:
-            path = os.path.join(args.repro_dir,
-                                f"chaos-seed{args.seed}-t{rep['trial']}.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(rep, indent=2, sort_keys=True) + "\n")
-            print(f"chaos: reproducer written to {path}", file=sys.stderr)
-    return 3 if n_fail else 0
+        print(blob)
 
 
-def _cmd_chaos_replay(args) -> int:
-    import json
-
-    from repro.harness.chaos import replay_reproducer
-
-    try:
-        record = replay_reproducer(args.file)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"chaos: cannot replay {args.file}: {exc}", file=sys.stderr)
-        return 2
-    print(json.dumps(record, indent=2, sort_keys=True))
-    if record["failing"]:
-        print("chaos: reproducer still failing", file=sys.stderr)
-        return 3
-    print("chaos: reproducer no longer fails (fixed?)", file=sys.stderr)
-    return 0
-
-
-def _churn_config(args) -> "object":
-    from repro.harness.churn import ChurnConfig
-
-    if args.mutate and args.mutate != "no-detector":
-        raise SystemExit(f"unknown mutation {args.mutate!r} "
-                         f"(available: no-detector)")
-    return ChurnConfig(
-        topo=args.topo, hosts=args.hosts, k=args.k,
-        initial_members=args.members, messages=args.messages,
-        msg_packets=args.msg_packets, joins=args.joins,
-        leaves=args.leaves, crashes=args.crashes, horizon=args.horizon,
-        loss_rate=args.loss_rate, mutate=args.mutate or None,
-    )
-
-
-def _cmd_churn_run(args) -> int:
-    import json
-
-    from repro.harness.churn import run_churn_campaign
-
-    cfg = _churn_config(args)
-    campaign = run_churn_campaign(cfg, seed=args.seed, trials=args.trials,
-                                  shrink=not args.no_shrink)
-    doc = json.dumps(campaign, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(doc + "\n")
-    else:
-        print(doc)
-    n_fail = len(campaign["failing_trials"])
-    print(f"churn: {args.trials} trial(s), {n_fail} failing "
-          f"(seed={args.seed})", file=sys.stderr)
-    if n_fail and args.repro_dir:
-        import os
-
-        os.makedirs(args.repro_dir, exist_ok=True)
-        for rep in campaign["reproducers"]:
-            path = os.path.join(args.repro_dir,
-                                f"churn-seed{args.seed}-t{rep['trial']}.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(rep, indent=2, sort_keys=True) + "\n")
-            print(f"churn: reproducer written to {path}", file=sys.stderr)
-    return 3 if n_fail else 0
-
-
-def _cmd_churn_replay(args) -> int:
-    import json
-
-    from repro.harness.churn import replay_churn_reproducer
-
-    try:
-        record = replay_churn_reproducer(args.file)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"churn: cannot replay {args.file}: {exc}", file=sys.stderr)
-        return 2
-    print(json.dumps(record, indent=2, sort_keys=True))
-    if record["failing"]:
-        print("churn: reproducer still failing", file=sys.stderr)
-        return 3
-    print("churn: reproducer no longer fails (fixed?)", file=sys.stderr)
-    return 0
-
-
-def _broker_config(args) -> "object":
-    from repro.apps.brokerfabric import BrokerFabricConfig
-
-    return BrokerFabricConfig(
-        topo=args.topo, hosts=args.hosts, k=args.k, topics=args.topics,
-        min_subscribers=args.min_subs, max_subscribers=args.max_subs,
-        msg_size=args.msg_size, publish_rate=args.publish_rate,
-        zipf_alpha=args.zipf_alpha, churn_rate=args.churn_rate,
-        cross_rate=args.cross_rate, cross_size=args.cross_size,
-        horizon=args.horizon, loss_rate=args.loss_rate,
-        coalesce_window=args.coalesce_window or None,
-    )
-
-
-def _cmd_broker_run(args) -> int:
-    import json
-
-    from repro.apps.brokerfabric import run_brokerfabric_campaign
-
-    cfg = _broker_config(args)
-    campaign = run_brokerfabric_campaign(cfg, seed=args.seed,
-                                         trials=args.trials,
-                                         shrink=not args.no_shrink)
-    doc = json.dumps(campaign, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(doc + "\n")
-    else:
-        print(doc)
-    n_fail = len(campaign["failing_trials"])
-    print(f"broker: {args.trials} trial(s), {n_fail} failing "
-          f"(seed={args.seed})", file=sys.stderr)
-    if n_fail and args.repro_dir:
-        import os
-
-        os.makedirs(args.repro_dir, exist_ok=True)
-        for rep in campaign["reproducers"]:
-            path = os.path.join(args.repro_dir,
-                                f"broker-seed{args.seed}-t{rep['trial']}.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(rep, indent=2, sort_keys=True) + "\n")
-            print(f"broker: reproducer written to {path}", file=sys.stderr)
-    return 3 if n_fail else 0
-
-
-def _cmd_broker_replay(args) -> int:
-    import json
-
-    from repro.apps.brokerfabric import replay_brokerfabric_reproducer
-
-    try:
-        record = replay_brokerfabric_reproducer(args.file)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"broker: cannot replay {args.file}: {exc}", file=sys.stderr)
-        return 2
-    print(json.dumps(record, indent=2, sort_keys=True))
-    if record["failing"]:
-        print("broker: reproducer still failing", file=sys.stderr)
-        return 3
-    print("broker: reproducer no longer fails (fixed?)", file=sys.stderr)
-    return 0
-
-
-def _fuzz_config(args) -> "object":
-    from repro.harness.fuzz import FuzzConfig
-
-    return FuzzConfig(
-        topo=args.topo, hosts=args.hosts, k=args.k,
-        initial_members=args.members, messages=args.messages,
-        msg_packets=args.msg_packets, incidents_max=args.incidents_max,
-        joins_max=args.joins_max, leaves_max=args.leaves_max,
-        horizon=args.horizon, loss_rate=args.loss_rate,
-        jct_slack=args.jct_slack,
-    )
-
-
-def _cmd_fuzz_run(args) -> int:
-    import json
-
+def _fuzz_session(cfg, args):
+    """fuzz's own coverage-guided loop; returns (document, summary)."""
     from repro.harness.fuzz import load_corpus, run_fuzz, save_corpus
 
-    cfg = _fuzz_config(args)
     corpus_in = []
     if args.corpus:
         corpus_in = [s for _, s in load_corpus(args.corpus)]
@@ -302,59 +136,61 @@ def _cmd_fuzz_run(args) -> int:
         written = save_corpus(args.corpus, cfg, corpus)
         for path in written:
             print(f"fuzz: corpus input written to {path}", file=sys.stderr)
-    blob = json.dumps(doc, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(blob + "\n")
-    else:
-        print(blob)
-    n_fail = len(doc["failing_trials"])
-    print(f"fuzz: {args.budget_trials} trial(s), corpus {len(corpus)}, "
-          f"{doc['coverage_keys']} coverage keys "
-          f"[{doc['coverage_signature'][:12]}], {n_fail} failing "
-          f"(seed={args.seed})", file=sys.stderr)
-    if n_fail and args.repro_dir:
-        import os
+    return doc, (f"{args.budget_trials} trial(s), corpus {len(corpus)}, "
+                 f"{doc['coverage_keys']} coverage keys "
+                 f"[{doc['coverage_signature'][:12]}]")
 
-        os.makedirs(args.repro_dir, exist_ok=True)
-        for rep in doc["reproducers"]:
-            path = os.path.join(args.repro_dir,
-                                f"fuzz-seed{args.seed}-t{rep['trial']}.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(rep, indent=2, sort_keys=True) + "\n")
-            print(f"fuzz: reproducer written to {path}", file=sys.stderr)
+
+def _cmd_campaign_run(args) -> int:
+    from repro.harness.campaign import run_campaign, save_reproducers
+
+    name = args.command
+    kind = _campaign(name)
+    cfg = _campaign_config(kind, args)
+    if name == "fuzz":
+        doc, summary = _fuzz_session(cfg, args)
+    else:
+        doc = run_campaign(kind, cfg, seed=args.seed, trials=args.trials,
+                           shrink=not args.no_shrink)
+        summary = f"{args.trials} trial(s)"
+    _emit_json(doc, args.out)
+    n_fail = len(doc["failing_trials"])
+    print(f"{name}: {summary}, {n_fail} failing (seed={args.seed})",
+          file=sys.stderr)
+    if n_fail and args.repro_dir:
+        for path in save_reproducers(kind, args.seed, doc["reproducers"],
+                                     args.repro_dir):
+            print(f"{name}: reproducer written to {path}", file=sys.stderr)
     return 3 if n_fail else 0
 
 
-def _cmd_fuzz_replay(args) -> int:
+def _cmd_campaign_replay(args) -> int:
     import json
     import os
 
-    from repro.harness.fuzz import replay_corpus, replay_fuzz_reproducer
+    from repro.harness.campaign import replay_reproducer
 
-    if os.path.isdir(args.target):
-        doc = replay_corpus(args.target, jobs=args.jobs)
-        blob = json.dumps(doc, indent=2, sort_keys=True)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(blob + "\n")
-        else:
-            print(blob)
+    name = args.command
+    if name == "fuzz" and os.path.isdir(args.file):
+        from repro.harness.fuzz import replay_corpus
+
+        doc = replay_corpus(args.file, jobs=args.jobs)
+        _emit_json(doc, args.out)
         print(f"fuzz: replayed {doc['inputs']} corpus input(s), "
               f"{doc['coverage_keys']} coverage keys "
               f"[{doc['coverage_signature'][:12]}], "
               f"{len(doc['failing'])} failing", file=sys.stderr)
         return 3 if doc["failing"] else 0
     try:
-        record = replay_fuzz_reproducer(args.target)
+        record = replay_reproducer(_campaign(name), args.file)
     except (OSError, ValueError, KeyError) as exc:
-        print(f"fuzz: cannot replay {args.target}: {exc}", file=sys.stderr)
+        print(f"{name}: cannot replay {args.file}: {exc}", file=sys.stderr)
         return 2
     print(json.dumps(record, indent=2, sort_keys=True))
     if record["failing"]:
-        print("fuzz: reproducer still failing", file=sys.stderr)
+        print(f"{name}: reproducer still failing", file=sys.stderr)
         return 3
-    print("fuzz: reproducer no longer fails (fixed?)", file=sys.stderr)
+    print(f"{name}: reproducer no longer fails (fixed?)", file=sys.stderr)
     return 0
 
 
@@ -508,6 +344,163 @@ def _cmd_info(args) -> int:
     return 0
 
 
+_LOSS = ("--loss-rate", {"type": float, "default": 0.0})
+_REPLAY_FILE = [("file", {})]
+
+
+def _horizon(default: float, what: str = "traffic"):
+    return ("--horizon", {"type": float, "default": default,
+                          "help": f"virtual seconds of {what} per trial"})
+
+
+def _int(flag: str, default: int, **kw):
+    return (flag, {"type": int, "default": default, **kw})
+
+
+#: The campaign subcommands (``<name> run|replay``): where each kind's
+#: :class:`~repro.harness.campaign.CampaignKind` lives, its help texts,
+#: the defaults of the shared run flags, and its own run flags.  Every
+#: run flag's dest is a field of the kind's config.
+_CAMPAIGNS = {
+    "chaos": {
+        "kind": ("repro.harness.chaos", "CHAOS"),
+        "help": "deterministic invariant-checked chaos campaigns",
+        "run_help": "run N seeded trials, shrink any failure",
+        "replay_help": "re-execute a reproducer JSON file",
+        "trials": ("--trials", 5), "topo": "star", "hosts": 6,
+        "doc": "campaign",
+        "flags": [
+            _int("--messages", 3), _int("--msg-packets", 8),
+            _int("--incidents", 2), _horizon(0.04), _LOSS,
+            ("--deployment", {
+                "default": "inline",
+                "choices": ("inline", "lookaside", "source_routed"),
+                "help": "accelerator deployment style under test"}),
+            ("--mutate", {"default": "",
+                          "help": "arm a deliberate protocol mutation "
+                                  "(e.g. psn-skip) to self-test the "
+                                  "monitor"}),
+        ],
+        "replay_args": _REPLAY_FILE,
+    },
+    "churn": {
+        "kind": ("repro.harness.churn", "CHURN"),
+        "help": "deterministic membership-churn campaigns "
+                "(incremental MRP joins/leaves, failure pruning)",
+        "run_help": "run N seeded churn trials, shrink any failure",
+        "replay_help": "re-execute a churn reproducer JSON file",
+        "trials": ("--trials", 5), "topo": "star", "hosts": 8,
+        "doc": "campaign",
+        "flags": [
+            _int("--members", 5, dest="initial_members",
+                 help="initial group size"),
+            _int("--messages", 4), _int("--msg-packets", 8),
+            _int("--joins", 2), _int("--leaves", 1), _int("--crashes", 1),
+            _horizon(0.04), _LOSS,
+            ("--mutate", {"default": "",
+                          "help": "arm a deliberate liveness mutation "
+                                  "(no-detector) to self-test the "
+                                  "campaign"}),
+        ],
+        "replay_args": _REPLAY_FILE,
+    },
+    "broker": {
+        "kind": ("repro.apps.brokerfabric", "BROKER"),
+        "help": "open-loop broker-fabric pub/sub campaigns (SLO tails, "
+                "delivery amplification, MRP delta coalescing)",
+        "run_help": "run N seeded open-loop trials, shrink any failure",
+        "replay_help": "re-execute a broker-fabric reproducer JSON file",
+        "trials": ("--trials", 3), "topo": "fat_tree", "hosts": 16,
+        "doc": "campaign",
+        "flags": [
+            _int("--topics", 6),
+            _int("--min-subs", 3, dest="min_subscribers",
+                 help="initial subscribers per topic, lower bound"),
+            _int("--max-subs", 8, dest="max_subscribers",
+                 help="initial subscribers per topic, upper bound"),
+            _int("--msg-size", 65536),
+            ("--publish-rate", {"type": float, "default": 60000.0,
+                                "help": "Poisson publish arrivals per "
+                                        "second"}),
+            ("--zipf-alpha", {"type": float, "default": 0.9,
+                              "help": "topic popularity skew "
+                                      "(0 = uniform)"}),
+            ("--churn-rate", {"type": float, "default": 2000.0,
+                              "help": "subscription toggles per second"}),
+            ("--cross-rate", {"type": float, "default": 4000.0,
+                              "help": "background unicast transfers per "
+                                      "second"}),
+            _int("--cross-size", 131072),
+            _horizon(0.02, "open-loop load"),
+            ("--coalesce-window", {"type": float, "default": 0.0,
+                                   "help": "MRP delta coalescing window in "
+                                           "seconds (0 = one delta per "
+                                           "membership op)"}),
+            _LOSS,
+        ],
+        "replay_args": _REPLAY_FILE,
+    },
+    "fuzz": {
+        "kind": ("repro.harness.fuzz", "FUZZ"),
+        "help": "coverage-guided protocol fuzzing with differential "
+                "deployment oracles",
+        "run_help": "coverage-guided fuzzing session over chaos/churn "
+                    "schedules (every trial runs all three deployments)",
+        "replay_help": "re-execute a corpus directory (deterministic "
+                       "coverage signature) or one reproducer JSON file",
+        "trials": ("--budget-trials", 50), "topo": "star", "hosts": 8,
+        "doc": "session",
+        # The CLI's fuzz defaults are smaller than FuzzConfig's.
+        "flags": [
+            _int("--members", 6, dest="initial_members",
+                 help="initial group size"),
+            _int("--messages", 3), _int("--msg-packets", 6),
+            _int("--incidents-max", 2), _int("--joins-max", 1),
+            _int("--leaves-max", 1), _horizon(0.03), _LOSS,
+            ("--jct-slack", {"type": float, "default": 5.0,
+                             "help": "throughput-oracle ceiling multiplier "
+                                     "over the analytic JCT model"}),
+            ("--corpus", {"default": "",
+                          "help": "corpus directory: seeds the session and "
+                                  "receives new coverage-reaching inputs"}),
+            ("--frozen-corpus", {"action": "store_true",
+                                 "help": "read the corpus but do not write "
+                                         "new entries back"}),
+        ],
+        "replay_args": [
+            ("file", {"metavar": "target",
+                      "help": "corpus directory or reproducer file"}),
+            _int("--jobs", 1, help="parallel replay workers (directory "
+                                   "only; the signature is "
+                                   "jobs-independent)"),
+            ("--out", {"default": "",
+                       "help": "write replay JSON here instead of stdout"}),
+        ],
+    },
+}
+
+
+def _add_campaign_flags(p: argparse.ArgumentParser, spec) -> None:
+    """Register a campaign ``run`` subcommand's flags: the shared ones
+    around the kind's own."""
+    trials_flag, trials = spec["trials"]
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument(trials_flag, type=int, default=trials)
+    p.add_argument("--topo", default=spec["topo"],
+                   choices=("star", "fat_tree"))
+    p.add_argument("--hosts", type=int, default=spec["hosts"])
+    p.add_argument("--k", type=int, default=4,
+                   help="fat-tree arity (fat_tree topo only)")
+    for flag, kw in spec["flags"]:
+        p.add_argument(flag, **kw)
+    p.add_argument("--no-shrink", action="store_true",
+                   help="skip reproducer minimization")
+    p.add_argument("--out", default="",
+                   help=f"write {spec['doc']} JSON here instead of stdout")
+    p.add_argument("--repro-dir", default="",
+                   help="directory for per-failure reproducer files")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cepheus-repro",
@@ -536,189 +529,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--algorithms", default="cepheus,binomial,chain")
     p_sweep.set_defaults(fn=_cmd_sweep)
 
-    p_chaos = sub.add_parser(
-        "chaos", help="deterministic invariant-checked chaos campaigns")
-    chaos_sub = p_chaos.add_subparsers(dest="chaos_command", required=True)
-
-    p_run = chaos_sub.add_parser(
-        "run", help="run N seeded trials, shrink any failure")
-    p_run.add_argument("--seed", type=int, default=1)
-    p_run.add_argument("--trials", type=int, default=5)
-    p_run.add_argument("--topo", default="star",
-                       choices=("star", "fat_tree"))
-    p_run.add_argument("--hosts", type=int, default=6)
-    p_run.add_argument("--k", type=int, default=4,
-                       help="fat-tree arity (fat_tree topo only)")
-    p_run.add_argument("--messages", type=int, default=3)
-    p_run.add_argument("--msg-packets", type=int, default=8)
-    p_run.add_argument("--incidents", type=int, default=2)
-    p_run.add_argument("--horizon", type=float, default=0.04,
-                       help="virtual seconds of traffic per trial")
-    p_run.add_argument("--loss-rate", type=float, default=0.0)
-    p_run.add_argument("--deployment", default="inline",
-                       choices=("inline", "lookaside", "source_routed"),
-                       help="accelerator deployment style under test")
-    p_run.add_argument("--mutate", default="",
-                       help="arm a deliberate protocol mutation "
-                            "(e.g. psn-skip) to self-test the monitor")
-    p_run.add_argument("--no-shrink", action="store_true",
-                       help="skip reproducer minimization")
-    p_run.add_argument("--out", default="",
-                       help="write campaign JSON here instead of stdout")
-    p_run.add_argument("--repro-dir", default="",
-                       help="directory for per-failure reproducer files")
-    p_run.set_defaults(fn=_cmd_chaos_run)
-
-    p_replay = chaos_sub.add_parser(
-        "replay", help="re-execute a reproducer JSON file")
-    p_replay.add_argument("file")
-    p_replay.set_defaults(fn=_cmd_chaos_replay)
-
-    p_churn = sub.add_parser(
-        "churn", help="deterministic membership-churn campaigns "
-                      "(incremental MRP joins/leaves, failure pruning)")
-    churn_sub = p_churn.add_subparsers(dest="churn_command", required=True)
-
-    p_crun = churn_sub.add_parser(
-        "run", help="run N seeded churn trials, shrink any failure")
-    p_crun.add_argument("--seed", type=int, default=1)
-    p_crun.add_argument("--trials", type=int, default=5)
-    p_crun.add_argument("--topo", default="star",
-                        choices=("star", "fat_tree"))
-    p_crun.add_argument("--hosts", type=int, default=8)
-    p_crun.add_argument("--k", type=int, default=4,
-                        help="fat-tree arity (fat_tree topo only)")
-    p_crun.add_argument("--members", type=int, default=5,
-                        help="initial group size")
-    p_crun.add_argument("--messages", type=int, default=4)
-    p_crun.add_argument("--msg-packets", type=int, default=8)
-    p_crun.add_argument("--joins", type=int, default=2)
-    p_crun.add_argument("--leaves", type=int, default=1)
-    p_crun.add_argument("--crashes", type=int, default=1)
-    p_crun.add_argument("--horizon", type=float, default=0.04,
-                        help="virtual seconds of traffic per trial")
-    p_crun.add_argument("--loss-rate", type=float, default=0.0)
-    p_crun.add_argument("--mutate", default="",
-                        help="arm a deliberate liveness mutation "
-                             "(no-detector) to self-test the campaign")
-    p_crun.add_argument("--no-shrink", action="store_true",
-                        help="skip reproducer minimization")
-    p_crun.add_argument("--out", default="",
-                        help="write campaign JSON here instead of stdout")
-    p_crun.add_argument("--repro-dir", default="",
-                        help="directory for per-failure reproducer files")
-    p_crun.set_defaults(fn=_cmd_churn_run)
-
-    p_creplay = churn_sub.add_parser(
-        "replay", help="re-execute a churn reproducer JSON file")
-    p_creplay.add_argument("file")
-    p_creplay.set_defaults(fn=_cmd_churn_replay)
-
-    p_broker = sub.add_parser(
-        "broker", help="open-loop broker-fabric pub/sub campaigns "
-                       "(SLO tails, delivery amplification, MRP delta "
-                       "coalescing)")
-    broker_sub = p_broker.add_subparsers(dest="broker_command",
+    campaign_subs = {}
+    for name, spec in _CAMPAIGNS.items():
+        p_kind = sub.add_parser(name, help=spec["help"])
+        kind_sub = p_kind.add_subparsers(dest=f"{name}_command",
                                          required=True)
+        campaign_subs[name] = kind_sub
+        p_run = kind_sub.add_parser("run", help=spec["run_help"])
+        _add_campaign_flags(p_run, spec)
+        p_run.set_defaults(fn=_cmd_campaign_run)
+        p_replay = kind_sub.add_parser("replay", help=spec["replay_help"])
+        for flag, kw in spec["replay_args"]:
+            p_replay.add_argument(flag, **kw)
+        p_replay.set_defaults(fn=_cmd_campaign_replay)
 
-    p_brun = broker_sub.add_parser(
-        "run", help="run N seeded open-loop trials, shrink any failure")
-    p_brun.add_argument("--seed", type=int, default=1)
-    p_brun.add_argument("--trials", type=int, default=3)
-    p_brun.add_argument("--topo", default="fat_tree",
-                        choices=("star", "fat_tree"))
-    p_brun.add_argument("--hosts", type=int, default=16)
-    p_brun.add_argument("--k", type=int, default=4,
-                        help="fat-tree arity (fat_tree topo only)")
-    p_brun.add_argument("--topics", type=int, default=6)
-    p_brun.add_argument("--min-subs", type=int, default=3,
-                        help="initial subscribers per topic, lower bound")
-    p_brun.add_argument("--max-subs", type=int, default=8,
-                        help="initial subscribers per topic, upper bound")
-    p_brun.add_argument("--msg-size", type=int, default=65536)
-    p_brun.add_argument("--publish-rate", type=float, default=60000.0,
-                        help="Poisson publish arrivals per second")
-    p_brun.add_argument("--zipf-alpha", type=float, default=0.9,
-                        help="topic popularity skew (0 = uniform)")
-    p_brun.add_argument("--churn-rate", type=float, default=2000.0,
-                        help="subscription toggles per second")
-    p_brun.add_argument("--cross-rate", type=float, default=4000.0,
-                        help="background unicast transfers per second")
-    p_brun.add_argument("--cross-size", type=int, default=131072)
-    p_brun.add_argument("--horizon", type=float, default=0.02,
-                        help="virtual seconds of open-loop load per trial")
-    p_brun.add_argument("--coalesce-window", type=float, default=0.0,
-                        help="MRP delta coalescing window in seconds "
-                             "(0 = one delta per membership op)")
-    p_brun.add_argument("--loss-rate", type=float, default=0.0)
-    p_brun.add_argument("--no-shrink", action="store_true",
-                        help="skip reproducer minimization")
-    p_brun.add_argument("--out", default="",
-                        help="write campaign JSON here instead of stdout")
-    p_brun.add_argument("--repro-dir", default="",
-                        help="directory for per-failure reproducer files")
-    p_brun.set_defaults(fn=_cmd_broker_run)
-
-    p_breplay = broker_sub.add_parser(
-        "replay", help="re-execute a broker-fabric reproducer JSON file")
-    p_breplay.add_argument("file")
-    p_breplay.set_defaults(fn=_cmd_broker_replay)
-
-    p_fuzz = sub.add_parser(
-        "fuzz", help="coverage-guided protocol fuzzing with differential "
-                     "deployment oracles")
-    fuzz_sub = p_fuzz.add_subparsers(dest="fuzz_command", required=True)
-
-    p_frun = fuzz_sub.add_parser(
-        "run", help="coverage-guided fuzzing session over chaos/churn "
-                    "schedules (every trial runs all three deployments)")
-    p_frun.add_argument("--seed", type=int, default=1)
-    p_frun.add_argument("--budget-trials", type=int, default=50)
-    p_frun.add_argument("--topo", default="star",
-                        choices=("star", "fat_tree"))
-    p_frun.add_argument("--hosts", type=int, default=8)
-    p_frun.add_argument("--k", type=int, default=4,
-                        help="fat-tree arity (fat_tree topo only)")
-    p_frun.add_argument("--members", type=int, default=6,
-                        help="initial group size")
-    p_frun.add_argument("--messages", type=int, default=3)
-    p_frun.add_argument("--msg-packets", type=int, default=6)
-    p_frun.add_argument("--incidents-max", type=int, default=2)
-    p_frun.add_argument("--joins-max", type=int, default=1)
-    p_frun.add_argument("--leaves-max", type=int, default=1)
-    p_frun.add_argument("--horizon", type=float, default=0.03,
-                        help="virtual seconds of traffic per trial")
-    p_frun.add_argument("--loss-rate", type=float, default=0.0)
-    p_frun.add_argument("--jct-slack", type=float, default=5.0,
-                        help="throughput-oracle ceiling multiplier over "
-                             "the analytic JCT model")
-    p_frun.add_argument("--corpus", default="",
-                        help="corpus directory: seeds the session and "
-                             "receives new coverage-reaching inputs")
-    p_frun.add_argument("--frozen-corpus", action="store_true",
-                        help="read the corpus but do not write new "
-                             "entries back")
-    p_frun.add_argument("--no-shrink", action="store_true",
-                        help="skip reproducer minimization")
-    p_frun.add_argument("--out", default="",
-                        help="write session JSON here instead of stdout")
-    p_frun.add_argument("--repro-dir", default="",
-                        help="directory for per-failure reproducer files")
-    p_frun.set_defaults(fn=_cmd_fuzz_run)
-
-    p_freplay = fuzz_sub.add_parser(
-        "replay", help="re-execute a corpus directory (deterministic "
-                       "coverage signature) or one reproducer JSON file")
-    p_freplay.add_argument("target",
-                           help="corpus directory or reproducer file")
-    p_freplay.add_argument("--jobs", type=int, default=1,
-                           help="parallel replay workers (directory only; "
-                                "the signature is jobs-independent)")
-    p_freplay.add_argument("--out", default="",
-                           help="write replay JSON here instead of stdout")
-    p_freplay.set_defaults(fn=_cmd_fuzz_replay)
-
-    p_fcorpus = fuzz_sub.add_parser(
+    p_fcorpus = campaign_subs["fuzz"].add_parser(
         "corpus", help="list the inputs of a corpus directory")
     p_fcorpus.add_argument("--corpus", default="tests/harness/corpus",
                            help="corpus directory")
@@ -751,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("current", help="BENCH JSON from the run under test")
     p_cmp.add_argument("baseline", help="committed baseline BENCH JSON")
     p_cmp.add_argument("--tolerances", default="",
-                       help="tolerance JSON (default: built-in 8% rel)")
+                       help="tolerance JSON (default: built-in 8%% rel)")
     p_cmp.add_argument("--check-events", action="store_true",
                        help="require per-experiment simulator event "
                             "counts to match the baseline exactly")

@@ -1,15 +1,17 @@
 """Experiment harness: one entry per paper table/figure + ablations,
 the parallel cached experiment engine (`repro.harness.engine`), the
 machine-readable bench documents + regression gate
-(`repro.harness.bench`), plus the deterministic chaos campaign runner
-(`repro.harness.chaos`)."""
+(`repro.harness.bench`), plus the seeded campaign engine
+(`repro.harness.campaign`) behind the chaos, churn, broker and fuzz
+harnesses."""
 
 from repro.harness.bench import compare, headline_metrics, load_document
 from repro.harness.cache import ResultCache, code_fingerprint
-from repro.harness.chaos import (ChaosConfig, Incident, Schedule,
-                                 generate_schedule, load_reproducer,
-                                 replay_reproducer, run_campaign, run_trial,
-                                 shrink_schedule)
+from repro.harness.campaign import (CampaignKind, load_reproducer,
+                                    replay_reproducer, run_campaign,
+                                    shrink_schedule)
+from repro.harness.chaos import (CHAOS, ChaosConfig, Incident, Schedule,
+                                 generate_schedule, run_trial)
 from repro.harness.engine import EngineRun, run_engine
 from repro.harness.openloop import (ChurnOp, CrossOp, OpenLoopSchedule,
                                     PublishOp, ZipfSampler,
@@ -30,9 +32,10 @@ __all__ = ["ExperimentResult", "fmt_size", "fmt_time", "format_table",
            "BcastSweep",
            "EngineRun", "run_engine", "ResultCache", "code_fingerprint",
            "headline_metrics", "compare", "load_document",
-           "ChaosConfig", "Incident", "Schedule", "generate_schedule",
-           "run_trial", "run_campaign", "shrink_schedule",
+           "CampaignKind", "run_campaign", "shrink_schedule",
            "load_reproducer", "replay_reproducer",
+           "CHAOS", "ChaosConfig", "Incident", "Schedule",
+           "generate_schedule", "run_trial",
            "PublishOp", "ChurnOp", "CrossOp", "OpenLoopSchedule",
            "ZipfSampler", "poisson_offsets", "generate_publish_stream",
            "generate_churn_stream", "generate_cross_stream", "schedule_ops",

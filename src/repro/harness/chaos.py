@@ -17,11 +17,11 @@ reproducer:
   cluster, register one multicast group, post the message sequence
   while the incidents fire, and record deliveries + invariant
   violations.  Two runs of the same trial are bit-for-bit identical;
-* a **campaign** runs N trials; every failing trial is replayed through
-  :func:`shrink_schedule`, which greedily drops incidents and trailing
-  messages while the failure persists, and the minimal schedule is
-  dumped as a JSON reproducer that ``cepheus-repro chaos replay``
-  re-executes.
+* a **campaign** runs N trials through the shared campaign engine
+  (:mod:`repro.harness.campaign`); every failing trial is shrunk by
+  greedily dropping incidents and trailing messages while the failure
+  persists, and the minimal schedule is dumped as a JSON reproducer
+  that ``cepheus-repro chaos replay`` re-executes.
 
 A ``mutate`` knob arms the :data:`repro.transport.qp.psn_tx_hook` fault
 hook inside a trial, deliberately corrupting the protocol — the smoke
@@ -31,31 +31,24 @@ violations rather than vacuously passing.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 from repro import constants
-from repro.apps.cluster import Cluster
 from repro.check import InvariantMonitor
 from repro.collectives import CepheusBcast
-from repro.core.accelerator import AcceleratorConfig
+from repro.harness.campaign import (CampaignConfig, CampaignKind,
+                                    build_cluster, enumerate_targets,
+                                    install_incident, post_at_offset)
 from repro.net.failures import FailureInjector
-from repro.net.switch import Switch, SwitchConfig
 from repro.transport import qp as qp_state
-from repro.transport.roce import RoceConfig
 
-__all__ = [
-    "ChaosConfig", "Incident", "Schedule", "generate_schedule",
-    "greedy_drop", "run_trial", "run_campaign", "shrink_schedule",
-    "load_reproducer", "replay_reproducer",
-]
-
-REPRODUCER_KIND = "cepheus-chaos-reproducer"
+__all__ = ["ChaosConfig", "Incident", "Schedule", "generate_schedule",
+           "run_trial", "CHAOS"]
 
 
 @dataclass(frozen=True)
-class ChaosConfig:
+class ChaosConfig(CampaignConfig):
     """Parameters of one chaos campaign (all trials share these)."""
 
     topo: str = "star"           # "star" | "fat_tree"
@@ -70,14 +63,6 @@ class ChaosConfig:
     retransmit_mode: str = "gbn"
     deployment: str = "inline"   # accelerator style: inline | lookaside | source_routed
     mutate: Optional[str] = None  # "psn-skip" arms the PSN fault hook
-
-    def to_dict(self) -> Dict[str, object]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, object]) -> "ChaosConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in d.items() if k in known})
 
 
 @dataclass(frozen=True)
@@ -137,43 +122,14 @@ class Schedule:
 
 
 # ---------------------------------------------------------------------------
-# cluster construction + target enumeration
+# schedule generation
 # ---------------------------------------------------------------------------
-
-def _build_cluster(cfg: ChaosConfig, trial_seed: int) -> Cluster:
-    sw_cfg = SwitchConfig(loss_rate=cfg.loss_rate, seed=trial_seed)
-    roce = RoceConfig(rto=cfg.rto, retransmit_mode=cfg.retransmit_mode)
-    accel = AcceleratorConfig(deployment=cfg.deployment)
-    if cfg.topo == "star":
-        return Cluster.testbed(cfg.hosts, switch_config=sw_cfg,
-                               accel_config=accel, roce_config=roce)
-    if cfg.topo == "fat_tree":
-        return Cluster.fat_tree_cluster(cfg.k, hosts_limit=cfg.hosts,
-                                        switch_config=sw_cfg,
-                                        accel_config=accel,
-                                        roce_config=roce)
-    raise ValueError(f"unknown chaos topology {cfg.topo!r}")
-
-
-def _enumerate_targets(cluster: Cluster) -> List[Tuple]:
-    """Deterministic pool of failure targets for a topology."""
-    topo = cluster.topo
-    targets: List[Tuple] = []
-    for info in topo.links:
-        if isinstance(info.dev_a, Switch) and isinstance(info.dev_b, Switch):
-            targets.append(("link", info.dev_a.name, info.port_a))
-    for ip in topo.host_ips:
-        targets.append(("host", ip))
-    for sw in topo.switches:
-        targets.append(("switch", sw.name))
-        targets.append(("loss", sw.name))
-    return targets
-
 
 def generate_schedule(cfg: ChaosConfig, rng) -> Schedule:
     """Draw one randomized-but-reproducible trial schedule."""
     trial_seed = rng.randrange(1 << 31)
-    cluster = _build_cluster(cfg, 0)   # shape-only; state is discarded
+    # shape-only; state is discarded
+    cluster = build_cluster(cfg, 0, cfg.deployment)
     hosts = cluster.topo.host_ips
     sources = tuple(rng.choice(hosts) for _ in range(cfg.messages))
     h = cfg.horizon
@@ -184,7 +140,7 @@ def generate_schedule(cfg: ChaosConfig, rng) -> Schedule:
     offsets = (0.0,) + tuple(sorted(
         round(rng.uniform(0.05, 0.55) * h, 9)
         for _ in range(cfg.messages - 1)))
-    pool = _enumerate_targets(cluster)
+    pool = enumerate_targets(cluster)
     n = min(cfg.incidents, len(pool))
     incidents = []
     for raw in rng.sample(pool, n):
@@ -203,41 +159,6 @@ def generate_schedule(cfg: ChaosConfig, rng) -> Schedule:
 # one trial
 # ---------------------------------------------------------------------------
 
-def _install_incident(cluster: Cluster, injector: FailureInjector,
-                      inc: Incident, start: float) -> None:
-    sim = cluster.sim
-    topo = cluster.topo
-    by_name = {sw.name: sw for sw in topo.switches}
-    kind, target = inc.kind, inc.target
-    if kind == "link":
-        sw, port = by_name[target[1]], target[2]
-        sim.schedule(start + inc.at - sim.now, injector.fail_link, sw, port)
-        sim.schedule(start + inc.repair_at - sim.now,
-                     injector.repair_link, sw, port)
-    elif kind == "host":
-        ip = target[1]
-        sw, port = topo.leaf_of(ip)
-        sim.schedule(start + inc.at - sim.now, injector.fail_link, sw, port)
-        sim.schedule(start + inc.repair_at - sim.now,
-                     injector.repair_link, sw, port)
-    elif kind == "switch":
-        sw = by_name[target[1]]
-        sim.schedule(start + inc.at - sim.now, injector.fail_switch, sw)
-        sim.schedule(start + inc.repair_at - sim.now,
-                     injector.repair_switch, sw)
-    elif kind == "loss":
-        sw, rate = by_name[target[1]], target[2]
-        base = sw.config.loss_rate
-
-        def set_rate(r: float) -> None:
-            sw.config.loss_rate = r
-
-        sim.schedule(start + inc.at - sim.now, set_rate, rate)
-        sim.schedule(start + inc.repair_at - sim.now, set_rate, base)
-    else:
-        raise ValueError(f"unknown incident kind {kind!r}")
-
-
 def run_trial(cfg: ChaosConfig, schedule: Schedule,
               trial_index: int = 0,
               coverage=None) -> Dict[str, object]:
@@ -248,7 +169,7 @@ def run_trial(cfg: ChaosConfig, schedule: Schedule,
     config's deployment — the fuzzer and the stage-coverage regression
     tests use it; plain campaigns skip the instrumentation cost.
     """
-    cluster = _build_cluster(cfg, schedule.trial_seed)
+    cluster = build_cluster(cfg, schedule.trial_seed, cfg.deployment)
     sim = cluster.sim
     monitor = InvariantMonitor()
     monitor.attach_cluster(cluster)
@@ -264,7 +185,7 @@ def run_trial(cfg: ChaosConfig, schedule: Schedule,
         injector = FailureInjector(cluster.topo)
         start = sim.now
         for inc in schedule.incidents:
-            _install_incident(cluster, injector, inc, start)
+            install_incident(cluster, injector, inc, start)
 
         if cfg.mutate == "psn-skip":
             # Corrupt the wire: every PSN at/after the middle of message
@@ -296,12 +217,8 @@ def run_trial(cfg: ChaosConfig, schedule: Schedule,
                 state["done_times"].append(now - start)
                 i_next = state["completed"]
                 if i_next < len(schedule.sources):
-                    # Honor the schedule offset, with a short floor that
-                    # lets residual feedback settle before the §III-E
-                    # source switch (which needs idle QPs).
-                    when = max(start + schedule.offsets[i_next],
-                               sim.now + 1e-6)
-                    sim.schedule(when - sim.now, post_next)
+                    post_at_offset(sim, start, schedule.offsets[i_next],
+                                   post_next)
 
             algo.qps[src].post_send(size, on_complete=on_done)
 
@@ -344,111 +261,10 @@ def run_trial(cfg: ChaosConfig, schedule: Schedule,
         monitor.detach()
 
 
-def _fails(cfg: ChaosConfig, schedule: Schedule) -> bool:
-    return bool(run_trial(cfg, schedule)["failing"])
-
-
-# ---------------------------------------------------------------------------
-# shrinking
-# ---------------------------------------------------------------------------
-
-def greedy_drop(items, rebuild, fails):
-    """One greedy delta-debugging pass over ``items``.
-
-    Tries removing each element in turn; ``rebuild(remaining)`` makes
-    the candidate and ``fails(candidate)`` re-runs the trial.  Every
-    removal that still fails is kept.  Shared by the chaos, churn and
-    fuzz shrinkers — each probe is a full deterministic re-run, so the
-    result is guaranteed to reproduce the failure.
-
-    Returns ``(surviving_items, final_candidate)``; the candidate is
-    ``rebuild(items)`` even when nothing could be dropped.
-    """
-    items = list(items)
-    candidate = rebuild(items)
-    i = 0
-    while i < len(items):
-        cand = rebuild(items[:i] + items[i + 1:])
-        if fails(cand):
-            items.pop(i)
-            candidate = cand
-        else:
-            i += 1
-    return items, candidate
-
-
-def shrink_schedule(cfg: ChaosConfig, schedule: Schedule) -> Schedule:
-    """Greedily minimize a failing schedule.
-
-    Drops incidents one at a time, then trailing messages, keeping every
-    reduction that still fails.
-    """
-    _, schedule = greedy_drop(
-        schedule.incidents,
-        lambda inc: replace(schedule, incidents=tuple(inc)),
-        lambda cand: _fails(cfg, cand))
-    sources = list(schedule.sources)
-    while len(sources) > 1:
-        cand = replace(schedule, sources=tuple(sources[:-1]))
-        if _fails(cfg, cand):
-            sources.pop()
-            schedule = cand
-        else:
-            break
-    return schedule
-
-
-# ---------------------------------------------------------------------------
-# campaigns + reproducers
-# ---------------------------------------------------------------------------
-
-def run_campaign(cfg: ChaosConfig, seed: int, trials: int,
-                 shrink: bool = True) -> Dict[str, object]:
-    """Run ``trials`` seeded trials; shrink and package any failures.
-
-    The returned document is fully deterministic for a given
-    (config, seed, trials): running it twice yields identical JSON.
-    """
-    import random
-
-    records: List[Dict[str, object]] = []
-    reproducers: List[Dict[str, object]] = []
-    for t in range(trials):
-        rng = random.Random((seed << 20) ^ (t * 0x9E3779B1 + 1))
-        schedule = generate_schedule(cfg, rng)
-        record = run_trial(cfg, schedule, trial_index=t)
-        records.append(record)
-        if record["failing"]:
-            minimal = shrink_schedule(cfg, schedule) if shrink else schedule
-            final = run_trial(cfg, minimal, trial_index=t)
-            reproducers.append({
-                "kind": REPRODUCER_KIND,
-                "config": cfg.to_dict(),
-                "schedule": minimal.to_dict(),
-                "violations": final["violations"],
-                "delivered_all": final["delivered_all"],
-                "trial": t,
-            })
-    return {
-        "config": cfg.to_dict(),
-        "seed": seed,
-        "trials": trials,
-        "records": records,
-        "failing_trials": [r["trial"] for r in records if r["failing"]],
-        "reproducers": reproducers,
-    }
-
-
-def load_reproducer(path: str) -> Tuple[ChaosConfig, Schedule]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("kind") != REPRODUCER_KIND:
-        raise ValueError(f"{path} is not a {REPRODUCER_KIND} document")
-    return (ChaosConfig.from_dict(doc["config"]),
-            Schedule.from_dict(doc["schedule"]))
-
-
-def replay_reproducer(path: str) -> Dict[str, object]:
-    """Re-execute a dumped reproducer; returns its (fresh) trial record."""
-    cfg, schedule = load_reproducer(path)
-    return run_trial(cfg, schedule)
+CHAOS = CampaignKind(
+    name="chaos", reproducer_kind="cepheus-chaos-reproducer",
+    config_cls=ChaosConfig, schedule_cls=Schedule,
+    generate=generate_schedule, run_trial=run_trial,
+    shrink_axes=("incidents",), trailing=("sources",),
+    record_fields=("violations", "delivered_all"),
+    mutations=("psn-skip",))

@@ -17,9 +17,10 @@ same way :mod:`repro.harness.chaos` stresses the loss-recovery paths:
   deliveries + invariant violations.  Exactly-once delivery is asserted
   for every member of the *final* epoch (departed members legitimately
   miss the tail of an in-flight message);
-* a **campaign** runs N seeded trials; failing trials are greedily
-  shrunk (drop churn events, then trailing messages) into JSON
-  reproducers that ``cepheus-repro churn replay`` re-executes.
+* a **campaign** runs N seeded trials through the shared campaign engine
+  (:mod:`repro.harness.campaign`); failing trials are greedily shrunk
+  (drop churn events, then trailing messages) into JSON reproducers
+  that ``cepheus-repro churn replay`` re-executes.
 
 The ``mutate="no-detector"`` knob disables the failure detector: a
 schedule containing a crash must then stall (the dead receiver pins the
@@ -29,30 +30,22 @@ campaign detects real liveness bugs rather than vacuously passing.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro import constants
-from repro.apps.cluster import Cluster
 from repro.check import InvariantMonitor
 from repro.collectives import CepheusBcast
-from repro.harness.chaos import greedy_drop
+from repro.harness.campaign import (CampaignConfig, CampaignKind,
+                                    build_cluster, post_at_offset)
 from repro.net.failures import FailureInjector
-from repro.net.switch import SwitchConfig
-from repro.transport.roce import RoceConfig
 
-__all__ = [
-    "ChurnConfig", "ChurnEvent", "ChurnSchedule", "generate_churn_schedule",
-    "run_churn_trial", "run_churn_campaign", "shrink_churn_schedule",
-    "load_churn_reproducer", "replay_churn_reproducer",
-]
-
-REPRODUCER_KIND = "cepheus-churn-reproducer"
+__all__ = ["ChurnConfig", "ChurnEvent", "ChurnSchedule",
+           "generate_churn_schedule", "run_churn_trial", "CHURN"]
 
 
 @dataclass(frozen=True)
-class ChurnConfig:
+class ChurnConfig(CampaignConfig):
     """Parameters of one churn campaign (all trials share these)."""
 
     topo: str = "star"            # "star" | "fat_tree"
@@ -72,14 +65,6 @@ class ChurnConfig:
     detector_misses: int = 3
     coalesce_window: Optional[float] = None  # batch deltas per window (s)
     mutate: Optional[str] = None  # "no-detector" disables failure pruning
-
-    def to_dict(self) -> Dict[str, object]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, object]) -> "ChurnConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in d.items() if k in known})
 
 
 @dataclass(frozen=True)
@@ -126,26 +111,13 @@ class ChurnSchedule:
 
 
 # ---------------------------------------------------------------------------
-# cluster construction + schedule generation
+# schedule generation
 # ---------------------------------------------------------------------------
-
-def _build_cluster(cfg: ChurnConfig, trial_seed: int) -> Cluster:
-    sw_cfg = SwitchConfig(loss_rate=cfg.loss_rate, seed=trial_seed)
-    roce = RoceConfig(rto=cfg.rto, retransmit_mode=cfg.retransmit_mode)
-    if cfg.topo == "star":
-        return Cluster.testbed(cfg.hosts, switch_config=sw_cfg,
-                               roce_config=roce)
-    if cfg.topo == "fat_tree":
-        return Cluster.fat_tree_cluster(cfg.k, hosts_limit=cfg.hosts,
-                                        switch_config=sw_cfg,
-                                        roce_config=roce)
-    raise ValueError(f"unknown churn topology {cfg.topo!r}")
-
 
 def generate_churn_schedule(cfg: ChurnConfig, rng) -> ChurnSchedule:
     """Draw one randomized-but-reproducible churn schedule."""
     trial_seed = rng.randrange(1 << 31)
-    cluster = _build_cluster(cfg, 0)   # shape-only; state is discarded
+    cluster = build_cluster(cfg, 0)   # shape-only; state is discarded
     hosts = list(cluster.topo.host_ips)
     if cfg.initial_members < 2 or cfg.initial_members > len(hosts):
         raise ValueError(f"initial_members={cfg.initial_members} out of "
@@ -193,7 +165,7 @@ def generate_churn_schedule(cfg: ChurnConfig, rng) -> ChurnSchedule:
 def run_churn_trial(cfg: ChurnConfig, schedule: ChurnSchedule,
                     trial_index: int = 0) -> Dict[str, object]:
     """Execute one churn trial; returns a JSON-able deterministic record."""
-    cluster = _build_cluster(cfg, schedule.trial_seed)
+    cluster = build_cluster(cfg, schedule.trial_seed)
     sim = cluster.sim
     fabric = cluster.fabric
     monitor = InvariantMonitor()
@@ -272,9 +244,8 @@ def run_churn_trial(cfg: ChurnConfig, schedule: ChurnSchedule,
                 state["done_times"].append(now - start)
                 i_next = state["completed"]
                 if i_next < len(schedule.offsets):
-                    when = max(start + schedule.offsets[i_next],
-                               sim.now + 1e-6)
-                    sim.schedule(when - sim.now, post_next)
+                    post_at_offset(sim, start, schedule.offsets[i_next],
+                                   post_next)
 
             src_qp.post_send(size, on_complete=on_done)
 
@@ -336,90 +307,14 @@ def run_churn_trial(cfg: ChurnConfig, schedule: ChurnSchedule,
         monitor.detach()
 
 
-def _fails(cfg: ChurnConfig, schedule: ChurnSchedule) -> bool:
-    return bool(run_churn_trial(cfg, schedule)["failing"])
-
-
-# ---------------------------------------------------------------------------
-# shrinking
-# ---------------------------------------------------------------------------
-
-def shrink_churn_schedule(cfg: ChurnConfig,
-                          schedule: ChurnSchedule) -> ChurnSchedule:
-    """Greedily minimize a failing schedule: drop churn events one at a
-    time, then trailing messages, keeping every reduction that still
-    fails.  Each probe is a full deterministic re-run."""
-    _, schedule = greedy_drop(
-        schedule.events,
-        lambda evs: replace(schedule, events=tuple(evs)),
-        lambda cand: _fails(cfg, cand))
-    offsets = list(schedule.offsets)
-    while len(offsets) > 1:
-        cand_cfg = replace(cfg, messages=len(offsets) - 1)
-        cand = replace(schedule, offsets=tuple(offsets[:-1]))
-        if _fails(cand_cfg, cand):
-            offsets.pop()
-            schedule = cand
-            cfg = cand_cfg
-        else:
-            break
-    return schedule
-
-
-# ---------------------------------------------------------------------------
-# campaigns + reproducers
-# ---------------------------------------------------------------------------
-
-def run_churn_campaign(cfg: ChurnConfig, seed: int, trials: int,
-                       shrink: bool = True) -> Dict[str, object]:
-    """Run ``trials`` seeded trials; shrink and package any failures.
-
-    Deterministic for a given (config, seed, trials) — the same
-    per-trial seeding discipline as the chaos campaigns.
-    """
-    import random
-
-    records: List[Dict[str, object]] = []
-    reproducers: List[Dict[str, object]] = []
-    for t in range(trials):
-        rng = random.Random((seed << 20) ^ (t * 0x9E3779B1 + 1))
-        schedule = generate_churn_schedule(cfg, rng)
-        record = run_churn_trial(cfg, schedule, trial_index=t)
-        records.append(record)
-        if record["failing"]:
-            minimal = (shrink_churn_schedule(cfg, schedule)
-                       if shrink else schedule)
-            trial_cfg = replace(cfg, messages=len(minimal.offsets))
-            final = run_churn_trial(trial_cfg, minimal, trial_index=t)
-            reproducers.append({
-                "kind": REPRODUCER_KIND,
-                "config": trial_cfg.to_dict(),
-                "schedule": minimal.to_dict(),
-                "violations": final["violations"],
-                "mismatched": final["mismatched"],
-                "completed_messages": final["completed_messages"],
-                "trial": t,
-            })
-    return {
-        "config": cfg.to_dict(),
-        "seed": seed,
-        "trials": trials,
-        "records": records,
-        "failing_trials": [r["trial"] for r in records if r["failing"]],
-        "reproducers": reproducers,
-    }
-
-
-def load_churn_reproducer(path: str) -> Tuple[ChurnConfig, ChurnSchedule]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("kind") != REPRODUCER_KIND:
-        raise ValueError(f"{path} is not a {REPRODUCER_KIND} document")
-    return (ChurnConfig.from_dict(doc["config"]),
-            ChurnSchedule.from_dict(doc["schedule"]))
-
-
-def replay_churn_reproducer(path: str) -> Dict[str, object]:
-    """Re-execute a dumped reproducer; returns its (fresh) trial record."""
-    cfg, schedule = load_churn_reproducer(path)
-    return run_churn_trial(cfg, schedule)
+CHURN = CampaignKind(
+    name="churn", reproducer_kind="cepheus-churn-reproducer",
+    config_cls=ChurnConfig, schedule_cls=ChurnSchedule,
+    generate=generate_churn_schedule, run_trial=run_churn_trial,
+    shrink_axes=("events",), trailing=("offsets",),
+    record_fields=("violations", "mismatched", "completed_messages"),
+    mutations=("no-detector",),
+    # A trial fails when fewer than cfg.messages complete, so a schedule
+    # shrunk to fewer messages runs (and is packaged) with a config
+    # that expects exactly that many.
+    fit=lambda cfg, s: replace(cfg, messages=len(s.offsets)))

@@ -438,7 +438,8 @@ def churn_membership(quick: bool = True) -> ExperimentResult:
     compared to the initial full registration, and that exactly-once
     delivery and the protocol invariants hold across epochs.
     """
-    from repro.harness.churn import ChurnConfig, run_churn_campaign
+    from repro.harness.campaign import run_campaign
+    from repro.harness.churn import CHURN, ChurnConfig
 
     trials = 2 if quick else 6
     res = ExperimentResult(
@@ -454,7 +455,7 @@ def churn_membership(quick: bool = True) -> ExperimentResult:
     )
     for topo, hosts in (("star", 8), ("fat_tree", 8)):
         cfg = ChurnConfig(topo=topo, hosts=hosts, k=4)
-        doc = run_churn_campaign(cfg, seed=11, trials=trials, shrink=False)
+        doc = run_campaign(CHURN, cfg, seed=11, trials=trials, shrink=False)
         recs = doc["records"]
         joins = sum(1 for r in recs
                     for e in r["schedule"]["events"] if e["kind"] == "join")

@@ -35,9 +35,9 @@ schedules that exercise the most protocol surface:
   and crossing pairs over
   (seed-respecting: the child keeps one parent's ``trial_seed``).
   Schedules reaching new coverage join the corpus; failing schedules
-  are greedily shrunk with the shared
-  :func:`~repro.harness.chaos.greedy_drop` minimizer into JSON
-  reproducers that ``cepheus-repro fuzz replay`` re-executes.
+  are shrunk and packaged by the shared campaign engine
+  (:mod:`repro.harness.campaign`) into JSON reproducers that
+  ``cepheus-repro fuzz replay`` re-executes.
 
 Everything is deterministic: trials are pure functions of
 (config, schedule), the corpus evolves identically for a given seed,
@@ -52,8 +52,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import random
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro import constants
@@ -61,26 +60,25 @@ from repro.analytic.models import NetModel, cepheus_jct
 from repro.apps.cluster import Cluster
 from repro.check import CoverageCollector, CoverageMap, InvariantMonitor
 from repro.collectives import CepheusBcast
-from repro.core.accelerator import DEPLOYMENTS, AcceleratorConfig
+from repro.core.accelerator import DEPLOYMENTS
 from repro.errors import TopologyError
-from repro.harness.chaos import (Incident, _enumerate_targets,
-                                 _install_incident, greedy_drop)
+from repro.harness.campaign import (CampaignConfig, CampaignKind,
+                                    build_cluster, enumerate_targets,
+                                    install_incident, package_failure,
+                                    post_at_offset, read_input, trial_rng)
+from repro.harness.chaos import Incident
 from repro.harness.churn import ChurnEvent
 from repro.net.failures import FailureInjector
-from repro.net.switch import SwitchConfig
-from repro.transport.roce import RoceConfig
 from repro.transport.spray import (LaneHealthMonitor, LaneReassembler,
                                    LaneSprayer)
 
 __all__ = [
     "FuzzConfig", "FuzzSchedule", "generate_fuzz_schedule",
     "mutate_schedule", "crossover_schedules", "run_fuzz_trial",
-    "run_fuzz", "shrink_fuzz_schedule", "load_corpus", "save_corpus",
-    "replay_corpus", "load_fuzz_reproducer", "replay_fuzz_reproducer",
+    "run_fuzz", "load_corpus", "save_corpus", "replay_corpus", "FUZZ",
 ]
 
 CORPUS_KIND = "cepheus-fuzz-input"
-REPRODUCER_KIND = "cepheus-fuzz-reproducer"
 
 #: Mutation operator names, in the deterministic order the loop draws
 #: from.  Kept module-level so the self-tests can assert the menu.
@@ -93,7 +91,7 @@ MUTATIONS: Tuple[str, ...] = (
 
 
 @dataclass(frozen=True)
-class FuzzConfig:
+class FuzzConfig(CampaignConfig):
     """Parameters shared by every trial of one fuzzing session."""
 
     topo: str = "star"            # "star" | "fat_tree"
@@ -114,18 +112,9 @@ class FuzzConfig:
     paths: int = 1                # MRC lanes per group (k-path spraying)
     lane_stall_timeout: float = 1e-3  # dead-lane declaration threshold
 
-    def to_dict(self) -> Dict[str, object]:
-        d = asdict(self)
-        d["deployments"] = list(self.deployments)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, object]) -> "FuzzConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        kw = {k: v for k, v in d.items() if k in known}
-        if "deployments" in kw:
-            kw["deployments"] = tuple(kw["deployments"])
-        return cls(**kw)
+    def __post_init__(self) -> None:
+        # JSON hands the deployment list back as a list.
+        object.__setattr__(self, "deployments", tuple(self.deployments))
 
 
 @dataclass(frozen=True)
@@ -190,30 +179,14 @@ class FuzzSchedule:
 
 
 # ---------------------------------------------------------------------------
-# cluster construction + schedule shape
+# schedule shape
 # ---------------------------------------------------------------------------
-
-def _build_cluster(cfg: FuzzConfig, trial_seed: int,
-                   deployment: str) -> Cluster:
-    sw_cfg = SwitchConfig(loss_rate=cfg.loss_rate, seed=trial_seed)
-    roce = RoceConfig(rto=cfg.rto, retransmit_mode=cfg.retransmit_mode)
-    accel = AcceleratorConfig(deployment=deployment)
-    if cfg.topo == "star":
-        return Cluster.testbed(cfg.hosts, switch_config=sw_cfg,
-                               accel_config=accel, roce_config=roce)
-    if cfg.topo == "fat_tree":
-        return Cluster.fat_tree_cluster(cfg.k, hosts_limit=cfg.hosts,
-                                        switch_config=sw_cfg,
-                                        accel_config=accel,
-                                        roce_config=roce)
-    raise ValueError(f"unknown fuzz topology {cfg.topo!r}")
-
 
 class _Shape:
     """Topology facts every generator/mutator needs (computed once)."""
 
     def __init__(self, cfg: FuzzConfig) -> None:
-        cluster = _build_cluster(cfg, 0, cfg.deployments[0])
+        cluster = build_cluster(cfg, 0, cfg.deployments[0])
         hosts = list(cluster.topo.host_ips)
         if cfg.initial_members < 2 or cfg.initial_members > len(hosts):
             raise ValueError(f"initial_members={cfg.initial_members} out of "
@@ -222,7 +195,7 @@ class _Shape:
         self.initial = hosts[:cfg.initial_members]
         self.leader = self.initial[0]
         self.outsiders = hosts[cfg.initial_members:]
-        self.targets = _enumerate_targets(cluster)
+        self.targets = enumerate_targets(cluster)
 
 
 def _draw_churn_time(cfg: FuzzConfig, offsets: Tuple[float, ...],
@@ -506,7 +479,7 @@ def _run_one_deployment(cfg: FuzzConfig, schedule: FuzzSchedule,
                         deployment: str,
                         coverage: CoverageMap) -> Dict[str, object]:
     """Execute the schedule under one deployment; feeds ``coverage``."""
-    cluster = _build_cluster(cfg, schedule.trial_seed, deployment)
+    cluster = build_cluster(cfg, schedule.trial_seed, deployment)
     sim = cluster.sim
     fabric = cluster.fabric
     monitor = InvariantMonitor()
@@ -523,7 +496,7 @@ def _run_one_deployment(cfg: FuzzConfig, schedule: FuzzSchedule,
         injector = FailureInjector(cluster.topo)
         start = sim.now
         for inc in schedule.incidents:
-            _install_incident(cluster, injector, inc, start)
+            install_incident(cluster, injector, inc, start)
         if cfg.paths > 1 and schedule.lane_kills:
             _install_lane_kills(cluster, injector, schedule, leader,
                                 initial, cfg, start, coverage, deployment)
@@ -551,7 +524,7 @@ def _run_one_deployment(cfg: FuzzConfig, schedule: FuzzSchedule,
                 mm.join(ip, qp)
 
         def do_leave(ip: int) -> None:
-            if ip in algo.group.members and ip not in mm._inflight:
+            if ip in algo.group.members and not mm.has_inflight(ip):
                 mm.leave(ip)
 
         actions = {"join": do_join, "leave": do_leave}
@@ -594,9 +567,8 @@ def _run_one_deployment(cfg: FuzzConfig, schedule: FuzzSchedule,
                 state["durations"].append(now - posted_at)
                 i_next = state["completed"]
                 if i_next < len(schedule.sources):
-                    when = max(start + schedule.offsets[i_next],
-                               sim.now + 1e-6)
-                    sim.schedule(when - sim.now, post_next)
+                    post_at_offset(sim, start, schedule.offsets[i_next],
+                                   post_next)
 
             if cfg.paths > 1:
                 lane_qps = [algo.group.lane_members[lane][src]
@@ -772,38 +744,6 @@ def run_fuzz_trial(cfg: FuzzConfig, schedule: FuzzSchedule,
     }
 
 
-def _fails(cfg: FuzzConfig, schedule: FuzzSchedule) -> bool:
-    return bool(run_fuzz_trial(cfg, schedule)["failing"])
-
-
-def shrink_fuzz_schedule(cfg: FuzzConfig,
-                         schedule: FuzzSchedule) -> FuzzSchedule:
-    """Greedily minimize a failing input with the shared shrinker:
-    drop incidents, then churn ops, then lane kills, then trailing
-    messages."""
-    _, schedule = greedy_drop(
-        schedule.incidents,
-        lambda inc: replace(schedule, incidents=tuple(inc)),
-        lambda cand: _fails(cfg, cand))
-    _, schedule = greedy_drop(
-        schedule.churn,
-        lambda ch: replace(schedule, churn=tuple(ch)),
-        lambda cand: _fails(cfg, cand))
-    _, schedule = greedy_drop(
-        schedule.lane_kills,
-        lambda lk: replace(schedule, lane_kills=tuple(lk)),
-        lambda cand: _fails(cfg, cand))
-    while len(schedule.sources) > 1:
-        cand = replace(schedule,
-                       sources=schedule.sources[:-1],
-                       offsets=schedule.offsets[:-1])
-        if _fails(cfg, cand):
-            schedule = cand
-        else:
-            break
-    return schedule
-
-
 # ---------------------------------------------------------------------------
 # the fuzz loop
 # ---------------------------------------------------------------------------
@@ -828,7 +768,7 @@ def run_fuzz(cfg: FuzzConfig, seed: int, budget_trials: int,
     reproducers: List[Dict[str, object]] = []
     new_entries: List[FuzzSchedule] = []
     for t in range(budget_trials):
-        rng = random.Random((seed << 20) ^ (t * 0x9E3779B1 + 1))
+        rng = trial_rng(seed, t)
         if t < len(corpus):
             schedule = corpus[t]
             origin = "corpus"
@@ -862,16 +802,8 @@ def run_fuzz(cfg: FuzzConfig, seed: int, budget_trials: int,
             "failing": record["failing"],
         })
         if record["failing"]:
-            minimal = (shrink_fuzz_schedule(cfg, schedule)
-                       if shrink else schedule)
-            final = run_fuzz_trial(cfg, minimal, trial_index=t)
-            reproducers.append({
-                "kind": REPRODUCER_KIND,
-                "config": cfg.to_dict(),
-                "schedule": minimal.to_dict(),
-                "fail_reasons": final["fail_reasons"],
-                "trial": t,
-            })
+            reproducers.append(package_failure(FUZZ, cfg, schedule, t,
+                                               shrink))
     return {
         "config": cfg.to_dict(),
         "seed": seed,
@@ -918,12 +850,9 @@ def load_corpus(dirpath: str) -> List[Tuple[FuzzConfig, FuzzSchedule]]:
     for name in sorted(os.listdir(dirpath)):
         if not name.endswith(".json"):
             continue
-        with open(os.path.join(dirpath, name), "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if doc.get("kind") != CORPUS_KIND:
-            continue
-        entries.append((FuzzConfig.from_dict(doc["config"]),
-                        FuzzSchedule.from_dict(doc["schedule"])))
+        entry = read_input(FUZZ, os.path.join(dirpath, name), CORPUS_KIND)
+        if entry is not None:
+            entries.append(entry)
     return entries
 
 
@@ -966,16 +895,9 @@ def replay_corpus(dirpath: str, jobs: int = 1) -> Dict[str, object]:
     }
 
 
-def load_fuzz_reproducer(path: str) -> Tuple[FuzzConfig, FuzzSchedule]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("kind") != REPRODUCER_KIND:
-        raise ValueError(f"{path} is not a {REPRODUCER_KIND} document")
-    return (FuzzConfig.from_dict(doc["config"]),
-            FuzzSchedule.from_dict(doc["schedule"]))
-
-
-def replay_fuzz_reproducer(path: str) -> Dict[str, object]:
-    """Re-execute a dumped reproducer; returns its (fresh) trial record."""
-    cfg, schedule = load_fuzz_reproducer(path)
-    return run_fuzz_trial(cfg, schedule)
+FUZZ = CampaignKind(
+    name="fuzz", reproducer_kind="cepheus-fuzz-reproducer",
+    config_cls=FuzzConfig, schedule_cls=FuzzSchedule,
+    generate=generate_fuzz_schedule, run_trial=run_fuzz_trial,
+    shrink_axes=("incidents", "churn", "lane_kills"),
+    trailing=("sources", "offsets"), record_fields=("fail_reasons",))

@@ -5,9 +5,10 @@ import random
 from dataclasses import replace
 
 from repro.apps.brokerfabric import (
-    BrokerFabricConfig, BrokerFabricSchedule, generate_brokerfabric_schedule,
-    run_brokerfabric_campaign, run_brokerfabric_trial,
+    BROKER, BrokerFabricConfig, BrokerFabricSchedule,
+    generate_brokerfabric_schedule, run_brokerfabric_trial,
 )
+from repro.harness.campaign import run_campaign
 
 # Small-but-busy: one switch, enough load that deliveries actually queue.
 QUICK = BrokerFabricConfig(
@@ -63,8 +64,8 @@ class TestTrial:
 
 class TestCampaign:
     def test_campaign_is_deterministic_and_clean(self):
-        a = run_brokerfabric_campaign(QUICK, seed=11, trials=2, shrink=False)
-        b = run_brokerfabric_campaign(QUICK, seed=11, trials=2, shrink=False)
+        a = run_campaign(BROKER, QUICK, seed=11, trials=2, shrink=False)
+        b = run_campaign(BROKER, QUICK, seed=11, trials=2, shrink=False)
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
         assert a["failing_trials"] == []
         assert a["reproducers"] == []

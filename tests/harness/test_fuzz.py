@@ -11,15 +11,11 @@ decoration.
 import json
 import random
 
-import pytest
-
-from repro.harness.fuzz import (FuzzConfig, FuzzSchedule, MUTATIONS,
+from repro.harness.campaign import load_reproducer, replay_reproducer
+from repro.harness.fuzz import (FUZZ, FuzzConfig, FuzzSchedule, MUTATIONS,
                                 crossover_schedules, generate_fuzz_schedule,
-                                load_corpus, load_fuzz_reproducer,
-                                mutate_schedule, replay_corpus,
-                                replay_fuzz_reproducer, run_fuzz,
-                                run_fuzz_trial, save_corpus,
-                                shrink_fuzz_schedule)
+                                load_corpus, mutate_schedule, replay_corpus,
+                                run_fuzz, run_fuzz_trial, save_corpus)
 from repro.harness.fuzz import _Shape
 
 # Small-but-real: three deployments per trial, room for one incident
@@ -318,17 +314,10 @@ def test_cli_fuzz_run_packages_reproducer_on_failure(tmp_path, monkeypatch):
     assert rc == 3  # failures found
     files = sorted(rdir.glob("*.json"))
     assert files
-    cfg, sched = load_fuzz_reproducer(str(files[0]))
+    cfg, sched = load_reproducer(FUZZ, str(files[0]))
     assert run_fuzz_trial(cfg, sched)["failing"]
     # replaying through the CLI on the fixed build reports success
     monkeypatch.delenv("CEPHEUS_SEEDED_BUG")
     rc = main(["fuzz", "replay", str(files[0])])
     assert rc == 0
-    assert not replay_fuzz_reproducer(str(files[0]))["failing"]
-
-
-def test_load_fuzz_reproducer_rejects_other_json(tmp_path):
-    path = tmp_path / "not_a_repro.json"
-    path.write_text(json.dumps({"kind": "something-else"}))
-    with pytest.raises(ValueError):
-        load_fuzz_reproducer(str(path))
+    assert not replay_reproducer(FUZZ, str(files[0]))["failing"]

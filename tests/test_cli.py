@@ -108,3 +108,13 @@ class TestCommands:
         assert "core0" in out and "edge0_0" not in out
         assert main(["pipeline", "dump", "--switch", "nope"]) == 2
         assert "no switch 'nope'" in capsys.readouterr().err
+
+
+class TestHelp:
+    def test_bench_compare_help_prints_default_tolerance(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "compare", "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "built-in 8% rel" in out
+        assert "option_strings" not in out
